@@ -284,7 +284,9 @@ impl Federation {
         let members = (0..n)
             .map(|i| Membership::new(CellId(i as u32), &introducer, SimTime::ZERO))
             .collect();
-        let handoffs = vec![HandoffStore::new(); n];
+        let handoffs = (0..n)
+            .map(|i| HandoffStore::new(CellId(i as u32)))
+            .collect();
         let tasks: Vec<String> = MethodLibrary::pervasive_grid()
             .tasks()
             .map(str::to_string)

@@ -15,9 +15,12 @@
 //!
 //! Digests piggyback a [`LoadDigest`] per cell — queue depth, overload
 //! state, shed rate, base-station health — which is what peer load
-//! absorption steers by, and [`gossip_round`] also merges the replicated
+//! absorption steers by, and [`gossip_round`] also replicates the
 //! [`HandoffStore`](crate::handoff::HandoffStore)s D-GRID-style so every
 //! cell converges on the same pending/in-progress/completed handoff view.
+//! Ledgers travel as version-vector deltas: a contact ships only the
+//! handoff updates the receiving cell has not seen yet, so its cost
+//! follows the new events rather than the ledger's whole history.
 
 use crate::handoff::HandoffStore;
 use pg_runtime::OverloadState;
@@ -403,11 +406,21 @@ pub struct RoundCtx<'a> {
 /// Each cell with `up[i] == true` (index = `CellId.0`) beats beforehand
 /// (caller's job), then contacts up to `fanout` distinct seeded-random
 /// targets from its candidate pool. A contact with an up target is a
-/// push-pull exchange: both membership digests merge both ways, and the
-/// paired [`HandoffStore`]s merge both ways too (the D-GRID replication
-/// ride-along). A contact with a down target is simply lost — that is how
-/// crashes are discovered, by silence. Afterwards every up cell
-/// re-classifies its table.
+/// push-pull exchange: both membership digests merge both ways, and each
+/// leg also carries a handoff-ledger delta (the D-GRID replication
+/// ride-along): the receiving [`HandoffStore`] absorbs every update the
+/// sender has seen and it has not ([`HandoffStore::absorb_delta`]). A
+/// contact with a down target is simply lost — that is how crashes are
+/// discovered, by silence. Afterwards every up cell re-classifies its
+/// table.
+///
+/// `handoffs` is either empty (membership only) or holds one store per
+/// member, like `up`.
+///
+/// # Panics
+///
+/// When `up` or a non-empty `handoffs` differs in length from
+/// `members`; the check runs before any table changes.
 ///
 /// Peer selection derives from `(seed, round_idx, cell)` alone, so rounds
 /// replay bit-identically regardless of caller structure.
@@ -451,7 +464,17 @@ pub fn gossip_round_ctx(
     up: &[bool],
     ctx: &RoundCtx<'_>,
 ) {
-    debug_assert_eq!(members.len(), up.len());
+    assert_eq!(
+        up.len(),
+        members.len(),
+        "gossip round needs one liveness flag per member"
+    );
+    assert!(
+        handoffs.is_empty() || handoffs.len() == members.len(),
+        "gossip round needs no handoff stores or one per member ({} for {})",
+        handoffs.len(),
+        members.len()
+    );
     let (now, cfg) = (ctx.now, ctx.cfg);
     let link_up = |from: usize, to: usize| {
         ctx.faults
@@ -487,15 +510,7 @@ pub fn gossip_round_ctx(
             // means no reply.
             let push_ok = link_up(i, t);
             let pull_ok = push_ok && link_up(t, i);
-            // Candidates never include self, so i != t and the slice
-            // splits cleanly into the two tables of the contact.
-            let (mi, mt) = if i < t {
-                let (l, r) = members.split_at_mut(t);
-                (&mut l[i], &mut r[0])
-            } else {
-                let (l, r) = members.split_at_mut(i);
-                (&mut r[0], &mut l[t])
-            };
+            let (mi, mt) = pair_mut(members, i, t);
             if push_ok {
                 mt.merge_from(mi, now);
             }
@@ -503,13 +518,12 @@ pub fn gossip_round_ctx(
                 mi.merge_from(mt, now);
             }
             if !handoffs.is_empty() {
+                let (hi, ht) = pair_mut(handoffs, i, t);
                 if push_ok {
-                    let hi = handoffs[i].snapshot();
-                    handoffs[t].merge(&hi);
+                    ht.absorb_delta(hi);
                 }
                 if pull_ok {
-                    let ht = handoffs[t].snapshot();
-                    handoffs[i].merge(&ht);
+                    hi.absorb_delta(ht);
                 }
             }
         }
@@ -521,16 +535,31 @@ pub fn gossip_round_ctx(
     }
 }
 
+/// The two sides of contact `i -> t`. Candidates never include self, so
+/// `i != t` and the slice splits cleanly into the two entries.
+fn pair_mut<T>(xs: &mut [T], i: usize, t: usize) -> (&mut T, &mut T) {
+    if i < t {
+        let (l, r) = xs.split_at_mut(t);
+        (&mut l[i], &mut r[0])
+    } else {
+        let (l, r) = xs.split_at_mut(i);
+        (&mut r[0], &mut l[t])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::handoff::{HandoffId, HandoffKind, HandoffPhase, HandoffRecord};
 
     fn bootstrap(n: usize) -> (Vec<Membership>, Vec<HandoffStore>, Vec<bool>) {
         // Cell 0 is the introducer: everyone else starts knowing only it.
         let members = (0..n)
             .map(|i| Membership::new(CellId(i as u32), &[CellId(0)], SimTime::ZERO))
             .collect();
-        let handoffs = (0..n).map(|_| HandoffStore::new()).collect();
+        let handoffs = (0..n)
+            .map(|i| HandoffStore::new(CellId(i as u32)))
+            .collect();
         (members, handoffs, vec![true; n])
     }
 
@@ -787,6 +816,114 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn migration(i: usize, n: usize) -> HandoffRecord {
+        HandoffRecord {
+            id: HandoffId::mint(CellId(i as u32), 0),
+            user: i as u64,
+            from: CellId(i as u32),
+            to: CellId(((i + 1) % n) as u32),
+            kind: HandoffKind::Migrate,
+            phase: HandoffPhase::Pending,
+            opened_at: SimTime::ZERO,
+            completed_at: None,
+            latency_s: None,
+            warm: false,
+        }
+    }
+
+    /// No contact between two of `handoffs` would ship a single record.
+    fn quiescent(handoffs: &[HandoffStore]) -> bool {
+        handoffs.iter().all(|to| {
+            handoffs
+                .iter()
+                .all(|from| to.clone().absorb_delta(from) == 0)
+        })
+    }
+
+    #[test]
+    fn converged_ledgers_exchange_nothing_and_one_event_reaches_all() {
+        let n = 16;
+        let (mut members, mut handoffs, up) = bootstrap(n);
+        for (i, h) in handoffs.iter_mut().enumerate() {
+            h.open(migration(i, n));
+        }
+        let cfg = GossipConfig::default();
+        let mut round = 0u64;
+        let mut run = |members: &mut Vec<Membership>, handoffs: &mut Vec<HandoffStore>| {
+            for _ in 0..12 {
+                round += 1;
+                let now = SimTime::from_secs(30 * round);
+                for m in members.iter_mut() {
+                    m.beat(now, LoadDigest::default());
+                }
+                gossip_round(members, handoffs, &up, now, &cfg, 5, round);
+            }
+        };
+        run(&mut members, &mut handoffs);
+        let h = handoffs[0].ledger_hash();
+        assert!(handoffs
+            .iter()
+            .all(|s| s.len() == n && s.ledger_hash() == h));
+        assert!(
+            quiescent(&handoffs),
+            "converged replicas still ship records"
+        );
+
+        // One completion at cell 4 is exactly one record of news to anyone
+        // it has not reached yet, and gossip carries it everywhere.
+        let id = HandoffId::mint(CellId(3), 0);
+        handoffs[4].advance(
+            id,
+            HandoffPhase::Completed,
+            SimTime::from_secs(1),
+            Some(0.5),
+            true,
+        );
+        assert_eq!(handoffs[9].clone().absorb_delta(&handoffs[4]), 1);
+        run(&mut members, &mut handoffs);
+        for s in &handoffs {
+            assert_eq!(s.get(id).map(|r| r.phase), Some(HandoffPhase::Completed));
+            assert_eq!(s.ledger_hash(), handoffs[4].ledger_hash());
+        }
+        assert!(quiescent(&handoffs));
+    }
+
+    /// Regression: a `handoffs` slice shorter than `members` used to
+    /// index out of bounds mid-round, after some stores had merged.
+    #[test]
+    #[should_panic(expected = "one per member")]
+    fn short_handoff_slice_is_rejected_up_front() {
+        let (mut members, mut handoffs, up) = bootstrap(4);
+        handoffs.pop();
+        let now = SimTime::from_secs(30);
+        gossip_round(
+            &mut members,
+            &mut handoffs,
+            &up,
+            now,
+            &GossipConfig::default(),
+            1,
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one liveness flag per member")]
+    fn short_up_slice_is_rejected_up_front() {
+        let (mut members, mut handoffs, mut up) = bootstrap(4);
+        up.pop();
+        let now = SimTime::from_secs(30);
+        gossip_round(
+            &mut members,
+            &mut handoffs,
+            &up,
+            now,
+            &GossipConfig::default(),
+            1,
+            1,
+        );
     }
 
     #[test]

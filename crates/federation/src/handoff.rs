@@ -7,7 +7,10 @@
 //! in-progress / completed state replicated between peers with no central
 //! orchestrator), merging by phase dominance: a record can only move
 //! forward, so whichever replica has seen more of the handoff wins and
-//! every cell converges on the same view.
+//! every cell converges on the same view. Gossip ships deltas, not
+//! snapshots: each replica keeps a version vector over the cells that
+//! changed records, and a contact carries only the changes the receiver
+//! has not seen (see [`HandoffStore`]).
 
 use crate::gossip::CellId;
 use pg_sim::SimTime;
@@ -137,21 +140,95 @@ impl HandoffRecord {
 }
 
 /// One cell's replica of the federation-wide handoff ledger.
-#[derive(Debug, Clone, Default)]
+///
+/// Replication is version-vector delta anti-entropy (Scuttlebutt-style):
+/// every change a replica makes to a record — [`open`](Self::open), an
+/// [`advance`](Self::advance) or [`merge`](Self::merge) that moves it —
+/// is an *event* authored by the owning cell, numbered in sequence and
+/// logged as `(seq, record id)` in the owner's per-author log. The last
+/// seq of author `a`'s log is the version-vector entry `vv[a]`: how much
+/// of `a`'s history this replica has absorbed. A gossip leg
+/// ([`absorb_delta`](Self::absorb_delta)) therefore ships only the log
+/// suffix the receiver has not seen, carrying the sender's *current* copy
+/// of each named record.
+///
+/// The result is the same ledger a full-snapshot merge produces: records
+/// only grow under the [`HandoffRecord`] join, every record a replica
+/// holds is the join of the events it has absorbed, and a record no
+/// unseen event names is therefore already dominated by the receiver's
+/// copy, where a snapshot merge would change nothing.
+#[derive(Debug, Clone)]
 pub struct HandoffStore {
+    owner: CellId,
     records: BTreeMap<HandoffId, HandoffRecord>,
+    /// `log[a]`: author `a`'s events as `(seq, record id)`, seq ascending,
+    /// ending at `vv[a]`. Back-to-back events on one record keep only the
+    /// newer entry.
+    log: Vec<Vec<(u64, HandoffId)>>,
+}
+
+/// Append `(seq, id)` to an author log, overwriting the last entry when it
+/// names the same record: the later event's record dominates the earlier
+/// one's, so the older entry carries nothing a reader still needs.
+fn append(log: &mut Vec<(u64, HandoffId)>, seq: u64, id: HandoffId) {
+    match log.last_mut() {
+        Some(last) if last.1 == id => *last = (seq, id),
+        _ => log.push((seq, id)),
+    }
 }
 
 impl HandoffStore {
-    /// An empty ledger.
-    pub fn new() -> Self {
-        HandoffStore::default()
+    /// An empty ledger owned by cell `owner`, the author of its events.
+    pub fn new(owner: CellId) -> Self {
+        HandoffStore {
+            owner,
+            records: BTreeMap::new(),
+            log: Vec::new(),
+        }
+    }
+
+    /// `vv[a]`: the last event of author `a` this replica has absorbed.
+    fn vv(&self, a: usize) -> u64 {
+        self.log
+            .get(a)
+            .and_then(|l| l.last())
+            .map_or(0, |&(seq, _)| seq)
+    }
+
+    /// Author `a`'s log, grown into existence when new.
+    fn log_mut(&mut self, a: usize) -> &mut Vec<(u64, HandoffId)> {
+        if self.log.len() <= a {
+            self.log.resize_with(a + 1, Vec::new);
+        }
+        &mut self.log[a]
+    }
+
+    /// Record that the owner just changed record `id`.
+    fn author(&mut self, id: HandoffId) {
+        let me = self.owner.0 as usize;
+        let seq = self.vv(me) + 1;
+        append(self.log_mut(me), seq, id);
+    }
+
+    /// Join `r` into the local copy: adopt it when unknown, else
+    /// [`absorb`](HandoffRecord::absorb) it. Returns true when anything
+    /// changed.
+    fn join(&mut self, r: &HandoffRecord) -> bool {
+        match self.records.get_mut(&r.id) {
+            Some(mine) => mine.absorb(r),
+            None => {
+                self.records.insert(r.id, r.clone());
+                true
+            }
+        }
     }
 
     /// Open (or overwrite) a record — callers mint fresh ids, so
     /// overwrites only happen when replaying the owner's own update.
     pub fn open(&mut self, record: HandoffRecord) {
-        self.records.insert(record.id, record);
+        let id = record.id;
+        self.records.insert(id, record);
+        self.author(id);
     }
 
     /// Advance `id` to `phase` if that moves it forward; stamps completion
@@ -172,6 +249,7 @@ impl HandoffStore {
                     r.completed_at = Some(now);
                     r.latency_s = latency_s;
                 }
+                self.author(id);
             }
         }
     }
@@ -181,32 +259,53 @@ impl HandoffStore {
         self.records.get(&id)
     }
 
-    /// Every record, for replication.
+    /// Every record, cloned in id order.
     pub fn snapshot(&self) -> Vec<HandoffRecord> {
         self.records.values().cloned().collect()
     }
 
-    /// Merge a peer's snapshot: unknown records are adopted, known ones
-    /// absorbed (phase dominance, then the field-wise join for equal
-    /// phases). Idempotent and commutative, so gossip order never
-    /// matters. Returns how many records were adopted or changed — the
-    /// anti-entropy delta, zero once two replicas have converged.
+    /// Merge records handed over outside gossip (a handoff envelope
+    /// carries its record to the destination): unknown records are
+    /// adopted, known ones absorbed (phase dominance, then the field-wise
+    /// join for equal phases). Idempotent and commutative. Every record
+    /// this changes is an event the owner authors, so gossip passes it
+    /// on. Returns how many records were adopted or changed.
     pub fn merge(&mut self, snapshot: &[HandoffRecord]) -> usize {
         let mut delta = 0;
         for r in snapshot {
-            match self.records.get_mut(&r.id) {
-                Some(mine) => {
-                    if mine.absorb(r) {
-                        delta += 1;
-                    }
-                }
-                None => {
-                    self.records.insert(r.id, r.clone());
-                    delta += 1;
-                }
+            if self.join(r) {
+                self.author(r.id);
+                delta += 1;
             }
         }
         delta
+    }
+
+    /// One gossip leg from `sender`: for every author whose events the
+    /// sender has seen past this replica's `vv`, join the sender's current
+    /// copy of each record its unseen log suffix names and append that
+    /// suffix here, which raises `vv[a]` to the sender's. Afterwards this
+    /// replica's records equal
+    /// what merging the sender's full [`snapshot`](Self::snapshot) would
+    /// have left. Returns how many records the sender shipped — zero
+    /// between converged replicas.
+    pub fn absorb_delta(&mut self, sender: &HandoffStore) -> usize {
+        let mut shipped = 0;
+        for (a, log) in sender.log.iter().enumerate() {
+            let seen = self.vv(a);
+            if sender.vv(a) <= seen {
+                continue;
+            }
+            let unseen = &log[log.partition_point(|&(seq, _)| seq <= seen)..];
+            for &(seq, id) in unseen {
+                if let Some(r) = sender.records.get(&id) {
+                    self.join(r);
+                }
+                append(self.log_mut(a), seq, id);
+            }
+            shipped += unseen.len();
+        }
+        shipped
     }
 
     /// Order-independent fingerprint of the whole ledger: two replicas
@@ -271,8 +370,8 @@ mod tests {
 
     #[test]
     fn merge_is_phase_dominant_and_idempotent() {
-        let mut a = HandoffStore::new();
-        let mut b = HandoffStore::new();
+        let mut a = HandoffStore::new(CellId(0));
+        let mut b = HandoffStore::new(CellId(1));
         a.open(rec(1, HandoffPhase::Pending));
         b.open(rec(1, HandoffPhase::Completed));
         b.open(rec(2, HandoffPhase::InProgress));
@@ -284,7 +383,7 @@ mod tests {
             Some(HandoffPhase::Completed)
         );
         // Merging an older view back never regresses.
-        let mut stale = HandoffStore::new();
+        let mut stale = HandoffStore::new(CellId(2));
         stale.open(rec(1, HandoffPhase::Pending));
         a.merge(&stale.snapshot());
         assert_eq!(
@@ -311,8 +410,8 @@ mod tests {
         right.latency_s = Some(3.5);
         right.warm = true;
 
-        let mut a = HandoffStore::new();
-        let mut b = HandoffStore::new();
+        let mut a = HandoffStore::new(CellId(0));
+        let mut b = HandoffStore::new(CellId(1));
         a.open(left.clone());
         b.open(right.clone());
         let d1 = a.merge(&b.snapshot());
@@ -330,8 +429,8 @@ mod tests {
         let _ = d2;
 
         // The reverse merge order lands on the same value.
-        let mut c = HandoffStore::new();
-        let mut d = HandoffStore::new();
+        let mut c = HandoffStore::new(CellId(2));
+        let mut d = HandoffStore::new(CellId(3));
         c.open(right);
         d.open(left);
         c.merge(&d.snapshot());
@@ -342,7 +441,7 @@ mod tests {
 
     #[test]
     fn advance_is_monotone_and_stamps_completion() {
-        let mut s = HandoffStore::new();
+        let mut s = HandoffStore::new(CellId(0));
         s.open(rec(7, HandoffPhase::Pending));
         s.advance(
             HandoffId(7),
@@ -376,5 +475,79 @@ mod tests {
             Some(HandoffPhase::Completed)
         );
         assert_eq!(s.phase_counts(), (0, 0, 1));
+    }
+
+    #[test]
+    fn back_to_back_events_on_one_record_share_a_log_entry() {
+        let mut s = HandoffStore::new(CellId(2));
+        s.open(rec(7, HandoffPhase::Pending));
+        s.advance(
+            HandoffId(7),
+            HandoffPhase::InProgress,
+            SimTime::ZERO,
+            None,
+            false,
+        );
+        s.advance(
+            HandoffId(7),
+            HandoffPhase::Completed,
+            SimTime::ZERO,
+            None,
+            false,
+        );
+        // A no-op advance authors nothing.
+        s.advance(
+            HandoffId(7),
+            HandoffPhase::InProgress,
+            SimTime::ZERO,
+            None,
+            false,
+        );
+        s.open(rec(8, HandoffPhase::Pending));
+        assert_eq!(s.vv(2), 4);
+        assert_eq!(s.log[2], vec![(3, HandoffId(7)), (4, HandoffId(8))]);
+    }
+
+    #[test]
+    fn delta_knowledge_is_transitive_and_matches_snapshot_merge() {
+        let mut a = HandoffStore::new(CellId(0));
+        let mut b = HandoffStore::new(CellId(1));
+        let mut c = HandoffStore::new(CellId(2));
+        a.open(rec(1, HandoffPhase::Pending));
+        a.open(rec(2, HandoffPhase::Pending));
+        assert_eq!(b.absorb_delta(&a), 2);
+        b.advance(
+            HandoffId(1),
+            HandoffPhase::Completed,
+            SimTime::ZERO,
+            None,
+            true,
+        );
+        // c hears a's two opens and b's completion from b alone…
+        assert_eq!(c.absorb_delta(&b), 3);
+        assert_eq!(c.ledger_hash(), b.ledger_hash());
+        // …so a has nothing left to tell it, while a itself still lacks
+        // b's completion: one record.
+        assert_eq!(c.absorb_delta(&a), 0);
+        let mut full = a.clone();
+        full.merge(&b.snapshot());
+        assert_eq!(a.absorb_delta(&b), 1);
+        assert_eq!(a.ledger_hash(), full.ledger_hash());
+        assert_eq!(a.absorb_delta(&c), 0);
+        assert_eq!(a.log, c.log);
+    }
+
+    #[test]
+    fn envelope_merge_is_gossiped_on() {
+        // A record handed over outside gossip reaches third parties from
+        // the cell it was handed to.
+        let mut origin = HandoffStore::new(CellId(0));
+        let mut dest = HandoffStore::new(CellId(1));
+        let mut peer = HandoffStore::new(CellId(2));
+        origin.open(rec(5, HandoffPhase::Pending));
+        let r = origin.get(HandoffId(5)).cloned().expect("present");
+        assert_eq!(dest.merge(&[r]), 1);
+        assert_eq!(peer.absorb_delta(&dest), 1);
+        assert!(peer.get(HandoffId(5)).is_some());
     }
 }

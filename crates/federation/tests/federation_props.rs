@@ -161,7 +161,9 @@ proptest! {
         let mut members: Vec<Membership> = (0..n)
             .map(|i| Membership::new(CellId(i as u32), &[CellId(0)], SimTime::ZERO))
             .collect();
-        let mut handoffs: Vec<HandoffStore> = (0..n).map(|_| HandoffStore::new()).collect();
+        let mut handoffs: Vec<HandoffStore> = (0..n)
+            .map(|i| HandoffStore::new(CellId(i as u32)))
+            .collect();
         // f < n crashed cells drawn from the mask bits; cell 0 (the
         // introducer) stays up so the pre-crash bootstrap is never
         // degenerate, and at least two cells stay live so agreement is
