@@ -38,7 +38,7 @@ fn bench_choose(c: &mut Criterion) {
         QueryFeatures::extract(&ctx, &query).unwrap()
     };
     let mut g = c.benchmark_group("decision_maker");
-    for &history in &[0usize, 100, 1_000] {
+    for &history in &[0usize, 100, 1_000, 10_000] {
         let mut dm = DecisionMaker::with_config(
             Policy::Adaptive,
             5,

@@ -7,25 +7,44 @@
 //! `(features, model, actual cost)` case; predicting the cost of a model
 //! for a new query averages the k nearest cases of the same model family,
 //! weighted by inverse distance.
+//!
+//! The memory is an exact index, not a scan. Each model family groups its
+//! cases by the bit pattern of their [`QueryFeatures::vector`]; a group
+//! keeps `(seq, actual)` pairs in insertion order, so every case of a
+//! group sits at the same distance from any query. A prediction computes
+//! one distance per group and keeps the k smallest `(distance, seq)`
+//! pairs, each group offering at most its k oldest cases. Ties in distance
+//! therefore break oldest first — the order a stable sort of every
+//! same-family case by distance gives, and the reason distance-0
+//! neighbours never age (see [`crate::learn`]). One prediction costs
+//! O(distinct vectors in the family × k), however long the history.
 
-use crate::features::QueryFeatures;
-use crate::model::{CostVector, SolutionModel};
+use crate::features::{vector_distance, QueryFeatures, FEATURE_DIM};
+use crate::model::{CostVector, SolutionModel, FAMILIES};
+use std::collections::HashMap;
 
-/// One remembered execution.
+/// The cases of one family that share one feature vector.
 #[derive(Debug, Clone)]
-pub struct Case {
-    /// Features of the executed query.
-    pub features: QueryFeatures,
-    /// The placement that ran.
-    pub model: SolutionModel,
-    /// The measured cost.
-    pub actual: CostVector,
+struct Group {
+    vector: [f64; FEATURE_DIM],
+    /// `(seq, actual)` in insertion order, so `seq` ascends.
+    cases: Vec<(usize, CostVector)>,
+}
+
+/// The cases of one model family.
+#[derive(Debug, Clone, Default)]
+struct Family {
+    groups: Vec<Group>,
+    /// Group position by the exact bit pattern of its vector.
+    index: HashMap<[u64; FEATURE_DIM], usize>,
+    len: usize,
 }
 
 /// The case memory.
 #[derive(Debug, Clone, Default)]
 pub struct KnnRegressor {
-    cases: Vec<Case>,
+    families: [Family; FAMILIES],
+    len: usize,
     /// Neighbourhood size.
     pub k: usize,
 }
@@ -34,36 +53,43 @@ impl KnnRegressor {
     /// Empty memory with `k = 5`.
     pub fn new() -> Self {
         KnnRegressor {
-            cases: Vec::new(),
             k: 5,
+            ..KnnRegressor::default()
         }
     }
 
     /// Number of stored cases.
     pub fn len(&self) -> usize {
-        self.cases.len()
+        self.len
     }
 
     /// Is the memory empty?
     pub fn is_empty(&self) -> bool {
-        self.cases.is_empty()
+        self.len == 0
     }
 
     /// Cases stored for one model family.
     pub fn family_count(&self, model: &SolutionModel) -> usize {
-        self.cases
-            .iter()
-            .filter(|c| c.model.family() == model.family())
-            .count()
+        self.families[model.family()].len
     }
 
     /// Deposit a case.
     pub fn record(&mut self, features: QueryFeatures, model: SolutionModel, actual: CostVector) {
-        self.cases.push(Case {
-            features,
-            model,
-            actual,
-        });
+        let vector = features.vector();
+        let fam = &mut self.families[model.family()];
+        let at = *fam
+            .index
+            .entry(vector.map(f64::to_bits))
+            .or_insert_with(|| {
+                fam.groups.push(Group {
+                    vector,
+                    cases: Vec::new(),
+                });
+                fam.groups.len() - 1
+            });
+        fam.groups[at].cases.push((self.len, actual));
+        fam.len += 1;
+        self.len += 1;
     }
 
     /// Predict the cost of running `model` on a query with `features`:
@@ -77,30 +103,43 @@ impl KnnRegressor {
     /// the nearest case — the caller's confidence signal (a prediction
     /// extrapolated from a far-away case should defer to the analytic
     /// estimator).
-    // Feature distances are sums of squares of finite values, never NaN.
-    #[allow(clippy::expect_used)]
     pub fn predict_detailed(
         &self,
         features: &QueryFeatures,
         model: &SolutionModel,
     ) -> Option<(CostVector, f64)> {
-        let mut near: Vec<(f64, &Case)> = self
-            .cases
-            .iter()
-            .filter(|c| c.model.family() == model.family())
-            .map(|c| (features.distance(&c.features), c))
-            .collect();
-        if near.is_empty() {
+        let fam = &self.families[model.family()];
+        if fam.len == 0 {
             return None;
         }
-        near.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("distances are never NaN"));
-        near.truncate(self.k.max(1));
+        let k = self.k.max(1);
+        let query = features.vector();
+        // The k smallest `(distance, seq)` pairs, ascending.
+        let mut near: Vec<(f64, usize, &CostVector)> = Vec::with_capacity(k.min(fam.len));
+        for g in &fam.groups {
+            let d = vector_distance(&query, &g.vector);
+            let before = |&(nd, ns, _): &(f64, usize, &CostVector), seq: usize| {
+                nd < d || (nd == d && ns < seq)
+            };
+            for (seq, actual) in g.cases.iter().take(k) {
+                if near.len() == k {
+                    // A later case of this group has a larger seq, so once
+                    // one misses the top k, all the rest miss it too.
+                    if near.last().is_some_and(|last| before(last, *seq)) {
+                        break;
+                    }
+                    near.pop();
+                }
+                let at = near.partition_point(|e| before(e, *seq));
+                near.insert(at, (d, *seq, actual));
+            }
+        }
         let nearest = near[0].0;
         let mut acc = CostVector::default();
         let mut wsum = 0.0;
-        for (d, c) in &near {
+        for (d, _, actual) in &near {
             let w = 1.0 / (d + 1e-6);
-            acc = acc.add(&c.actual.scale(w));
+            acc = acc.add(&actual.scale(w));
             wsum += w;
         }
         Some((acc.scale(1.0 / wsum), nearest))
@@ -200,5 +239,95 @@ mod tests {
         );
         let p = knn.predict(&f, &SolutionModel::BaseStation).unwrap();
         assert!((p.energy_j - 1.0).abs() < 1e-3, "k=1 uses only the nearest");
+    }
+
+    /// The linear scan the index replaced: every same-family case, stable
+    /// sorted by distance, truncated to k.
+    fn scan(
+        cases: &[(QueryFeatures, SolutionModel, CostVector)],
+        k: usize,
+        features: &QueryFeatures,
+        model: &SolutionModel,
+    ) -> Option<(CostVector, f64)> {
+        let mut near: Vec<(f64, &CostVector)> = cases
+            .iter()
+            .filter(|c| c.1.family() == model.family())
+            .map(|c| (features.distance(&c.0), &c.2))
+            .collect();
+        if near.is_empty() {
+            return None;
+        }
+        near.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        near.truncate(k.max(1));
+        let mut acc = CostVector::default();
+        let mut wsum = 0.0;
+        for (d, actual) in &near {
+            let w = 1.0 / (d + 1e-6);
+            acc = acc.add(&actual.scale(w));
+            wsum += w;
+        }
+        Some((acc.scale(1.0 / wsum), near[0].0))
+    }
+
+    fn bits(p: Option<(CostVector, f64)>) -> Option<[u64; 5]> {
+        p.map(|(c, d)| [c.energy_j, c.time_s, c.bytes, c.ops, d].map(f64::to_bits))
+    }
+
+    #[test]
+    fn long_history_keeps_one_group_per_distinct_vector() {
+        let vectors = [
+            feats(10, QueryKind::Aggregate),
+            feats(40, QueryKind::Aggregate),
+            feats(1, QueryKind::Simple),
+            feats(99, QueryKind::Complex),
+            QueryFeatures {
+                continuous: true,
+                epoch_s: 10.0,
+                ..feats(10, QueryKind::Aggregate)
+            },
+            QueryFeatures {
+                mean_hops: 3.0,
+                ..feats(10, QueryKind::Aggregate)
+            },
+        ];
+        let models = SolutionModel::candidates(10);
+        let probes = [
+            vectors[0],
+            vectors[3],
+            feats(20, QueryKind::Aggregate),
+            QueryFeatures {
+                mean_hops: 2.5,
+                ..feats(10, QueryKind::Aggregate)
+            },
+        ];
+        let mut knn = KnnRegressor::new();
+        let mut cases = Vec::new();
+        for i in 0..100_000usize {
+            let c = (
+                vectors[(i / 5 + i / 7) % 6],
+                models[i % 5],
+                cost(i as f64 + 1.0),
+            );
+            knn.record(c.0, c.1, c.2);
+            cases.push(c);
+            if [0, 999, 99_999].contains(&i) {
+                for model in &models {
+                    for probe in &probes {
+                        assert_eq!(
+                            bits(knn.predict_detailed(probe, model)),
+                            bits(scan(&cases, knn.k, probe, model)),
+                            "{} after {} cases",
+                            model.name(),
+                            i + 1
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(knn.len(), 100_000);
+        for (f, family) in knn.families.iter().enumerate() {
+            assert_eq!(family.groups.len(), vectors.len(), "family {f}");
+            assert_eq!(family.len, 20_000);
+        }
     }
 }

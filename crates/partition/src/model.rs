@@ -2,6 +2,9 @@
 
 use pg_query::ast::Query;
 
+/// Number of distinct [`SolutionModel::family`] values.
+pub(crate) const FAMILIES: usize = 5;
+
 /// Where the computation for a query is placed (§4's solution models).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SolutionModel {
@@ -61,8 +64,8 @@ impl SolutionModel {
         }
     }
 
-    /// Coarse family index (used as part of the k-NN key so histories of
-    /// different placements never mix).
+    /// Coarse family index, `0..FAMILIES` (used as part of the k-NN key so
+    /// histories of different placements never mix).
     pub fn family(&self) -> usize {
         match self {
             SolutionModel::InNetworkTree => 0,
